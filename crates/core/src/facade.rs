@@ -11,10 +11,10 @@
 //!
 //! The facade is generic over its transport: the default parameter is the
 //! in-process plane, [`EncryptedDb::connect`] opens the same interface onto
-//! a remote thread-per-connection host, and [`EncryptedDb::connect_mux`]
-//! onto a multiplexed [`crate::transport::serve_tcp_mux`] host — many
-//! `connect_mux` databases built on one [`MuxPool`] overlap their query
-//! waves on a single socket per shard.
+//! a remote [`crate::transport::serve_tcp_mux`] host in the legacy framing
+//! (one socket per shard per client), and [`EncryptedDb::connect_mux`] onto
+//! the same host multiplexed — many `connect_mux` databases built on one
+//! [`MuxPool`] overlap their query waves on a single socket per shard.
 
 use crate::aggregate::{run_aggregate, AggOp, AggregateOutcome, AggregateSpec};
 use crate::client::ClientFilter;
@@ -65,11 +65,12 @@ pub struct InsertOutcome {
     pub offset: u32,
 }
 
-/// An [`EncryptedDb`] over a remote thread-per-connection TCP host.
+/// An [`EncryptedDb`] over a remote TCP host in the legacy framing (one
+/// request in flight per socket).
 pub type RemoteDb = EncryptedDb<ShardRouter<TcpTransport>>;
 
-/// An [`EncryptedDb`] over a remote multiplexed host, riding a shared
-/// [`MuxPool`].
+/// An [`EncryptedDb`] over a remote host in the multiplexed framing, riding
+/// a shared [`MuxPool`].
 pub type RemoteMuxDb = EncryptedDb<ShardRouter<MuxTransport>>;
 
 impl EncryptedDb {
@@ -508,10 +509,9 @@ impl<T: Transport + Send> EncryptedDb<ShardRouter<T>> {
 }
 
 impl RemoteDb {
-    /// Opens the facade onto a remote thread-per-connection host
-    /// ([`crate::transport::serve_tcp`] or
-    /// [`crate::transport::serve_tcp_sharded`]): one connection per shard,
-    /// shard count validated by the handshake. The map and seed stay
+    /// Opens the facade onto a remote [`crate::transport::serve_tcp_mux`]
+    /// host in the legacy framing: one connection per shard, shard count
+    /// validated by the handshake. The map and seed stay
     /// client-side; the server never sees them.
     pub fn connect<A: ToSocketAddrs + Copy>(
         addr: A,
@@ -529,8 +529,8 @@ impl RemoteDb {
 }
 
 impl RemoteMuxDb {
-    /// Opens the facade onto a multiplexed host
-    /// ([`crate::transport::serve_tcp_mux`]) through a shared [`MuxPool`]:
+    /// Opens the facade onto a [`crate::transport::serve_tcp_mux`] host in
+    /// the multiplexed framing, through a shared [`MuxPool`]:
     /// every database built on the same pool multiplexes its query waves
     /// over the pool's one socket per shard, so any number of concurrent
     /// clients cost the server a fixed number of connections.
@@ -549,12 +549,12 @@ impl RemoteMuxDb {
 /// ([`crate::fleet`]).
 pub type FleetDb = EncryptedDb<ShardRouter<FleetTransport<LocalPartyTransport>>>;
 
-/// An [`EncryptedDb`] over a TCP fleet of thread-per-connection party
-/// hosts, one connection per party per data shard.
+/// An [`EncryptedDb`] over a TCP fleet of party hosts in the legacy
+/// framing, one connection per party per data shard.
 pub type RemoteFleetDb = EncryptedDb<ShardRouter<FleetTransport<TcpTransport>>>;
 
-/// An [`EncryptedDb`] over a fleet of multiplexed party hosts, one
-/// [`MuxPool`] per party.
+/// An [`EncryptedDb`] over a TCP fleet of party hosts in the multiplexed
+/// framing, one [`MuxPool`] per party.
 pub type RemoteMuxFleetDb = EncryptedDb<ShardRouter<FleetTransport<MuxTransport>>>;
 
 impl FleetDb {
@@ -816,39 +816,27 @@ mod tests {
         }
     }
 
-    /// The same facade, three transports: the in-process plane, a remote
-    /// thread-per-connection host and a remote mux host (two databases on
-    /// one shared pool) all answer identically.
+    /// The same facade, three transports: the in-process plane, a legacy
+    /// client and two mux clients (one shared pool) of the same remote host
+    /// all answer identically.
     #[test]
     fn remote_facades_match_the_local_plane() {
         use crate::protocol::Request;
-        use crate::transport::{serve_tcp_mux, serve_tcp_sharded};
+        use crate::transport::serve_tcp_mux;
         let map = || MapFile::sequential(83, 1, &["site", "a", "b", "c"]).unwrap();
         let xml = "<site><a><b><c/></b></a><a><c/></a><b><a><c/></a></b></site>";
         let shards = 2u32;
         let mut local =
             EncryptedDb::encode_sharded(xml, map(), Seed::from_test_key(33), shards).unwrap();
 
-        let spawn_host = |mux: bool| {
-            let out =
-                crate::encode::encode_document(xml, &map(), &Seed::from_test_key(33)).unwrap();
-            let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let handle = std::thread::spawn(move || {
-                if mux {
-                    serve_tcp_mux(listener, server, 0).unwrap()
-                } else {
-                    serve_tcp_sharded(listener, server).unwrap()
-                }
-            });
-            (addr, handle)
-        };
+        let out = crate::encode::encode_document(xml, &map(), &Seed::from_test_key(33)).unwrap();
+        let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
-        let (tcp_addr, tcp_handle) = spawn_host(false);
-        let (mux_addr, mux_handle) = spawn_host(true);
-        let mut tcp = RemoteDb::connect(tcp_addr, shards, map(), Seed::from_test_key(33)).unwrap();
-        let pool = MuxPool::connect(mux_addr, shards).unwrap();
+        let mut tcp = RemoteDb::connect(addr, shards, map(), Seed::from_test_key(33)).unwrap();
+        let pool = MuxPool::connect(addr, shards).unwrap();
         let mut mux_a = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
         let mut mux_b = RemoteMuxDb::connect_mux(&pool, map(), Seed::from_test_key(33)).unwrap();
         assert_eq!(tcp.shards(), shards);
@@ -861,7 +849,7 @@ mod tests {
             let got = tcp
                 .query(q, EngineKind::Advanced, MatchRule::Equality)
                 .unwrap();
-            assert_eq!(got.pres(), want.pres(), "{q} (threaded)");
+            assert_eq!(got.pres(), want.pres(), "{q} (legacy client)");
             assert_eq!(got.stats.round_trips, want.stats.round_trips, "{q}");
             let got = mux_a
                 .query(q, EngineKind::Advanced, MatchRule::Equality)
@@ -875,18 +863,13 @@ mod tests {
         }
         assert_eq!(pool.stray_responses(), 0);
 
-        tcp.client_mut()
-            .transport_mut()
-            .call(&Request::Shutdown)
-            .unwrap();
         drop(tcp);
-        tcp_handle.join().unwrap();
         mux_a
             .client_mut()
             .transport_mut()
             .call(&Request::Shutdown)
             .unwrap();
-        mux_handle.join().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -1633,9 +1633,8 @@ fn fleet_consensus<T>(probes: &mut [Probe<T>], threshold: usize) -> Result<u32, 
     Ok(total)
 }
 
-/// Connects to an `n`-party fleet over plain framed TCP
-/// ([`crate::transport::serve_tcp_sharded`] hosts), one connection per
-/// party per data shard. Parties dead at connect are tolerated down to
+/// Connects to an `n`-party fleet of [`crate::transport::serve_tcp_mux`]
+/// hosts in the legacy framing, one connection per party per data shard. Parties dead at connect are tolerated down to
 /// `threshold` live legs.
 pub fn connect_fleet(
     addrs: &[String],

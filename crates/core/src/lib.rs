@@ -70,7 +70,6 @@ pub use router::ShardRouter;
 pub use server::{ServerFilter, ServerStats};
 pub use shard::{partition_table, ShardSpec, ShardedServer};
 pub use transport::{
-    serve_tcp, serve_tcp_mux, serve_tcp_mux_auto, serve_tcp_mux_opts, serve_tcp_sharded,
-    serve_tcp_sharded_auto, Deadline, LocalTransport, MuxHostOptions, MuxPool, MuxTransport,
-    PendingCall, TcpTransport, Transport, DEFAULT_MUX_WRITE_STALL,
+    serve_tcp_mux, serve_tcp_mux_opts, Deadline, LocalTransport, MuxHostOptions, MuxPool,
+    MuxTransport, PendingCall, TcpTransport, Transport, DEFAULT_MUX_WRITE_STALL,
 };

@@ -231,15 +231,15 @@ impl ShardRouter<LocalTransport> {
 }
 
 impl ShardRouter<TcpTransport> {
-    /// Connects one socket per shard to a [`crate::transport::serve_tcp_sharded`]
-    /// endpoint; frames are shard-tagged and dispatched concurrently.
+    /// Connects one socket per shard to a [`crate::transport::serve_tcp_mux`]
+    /// host in the legacy framing (one request in flight per socket);
+    /// frames are shard-tagged and dispatched concurrently.
     ///
     /// The first connection performs the [`Request::ShardCount`] handshake:
     /// a shard count that disagrees with the server's is refused here —
     /// routing by the wrong partition would silently drop every row on the
-    /// unreached shards. `shards = 1` skips the tags, so it also speaks to
-    /// a legacy single-filter [`crate::transport::serve_tcp`] endpoint
-    /// (which answers the handshake with 1 itself).
+    /// unreached shards. `shards = 1` skips the tags: a bare frame reaches
+    /// shard 0 of a 1-shard host.
     pub fn connect<A: ToSocketAddrs + Copy>(addr: A, shards: u32) -> Result<Self, CoreError> {
         let spec = ShardSpec::new(shards);
         let mut transports = (0..spec.shards())

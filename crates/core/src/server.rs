@@ -285,10 +285,10 @@ impl ServerFilter {
             Request::Reshard { .. } => {
                 Response::Err("reshard requires a sharded host endpoint".into())
             }
-            // The mux handshake is a connection-level operation: the mux
+            // The mux handshake is a connection-level operation: the TCP
             // host's reader intercepts it before any filter; everywhere
-            // else (bare filter, thread-per-connection host, inside a
-            // batch) it is a clean refusal the client can fall back on.
+            // else (an in-process filter, inside a batch) it is a clean
+            // refusal the client can fall back on.
             Request::Hello { .. } => {
                 Response::Err("mux handshake requires a mux host endpoint".into())
             }
@@ -639,6 +639,16 @@ mod tests {
             }),
             Response::Err(_)
         ));
+        // So are repartitioning and the mux handshake: a bare filter (the
+        // in-process plane) refuses both cleanly.
+        match s.handle(&Request::Reshard { shards: 2 }) {
+            Response::Err(msg) => assert!(msg.contains("reshard"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        match s.handle(&Request::Hello { version: 1 }) {
+            Response::Err(msg) => assert!(msg.contains("mux"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -2,36 +2,37 @@
 //!
 //! [`LocalTransport`] runs the server in-process but still encodes and
 //! decodes every frame, so byte/round-trip counters mean the same thing they
-//! would over a network. [`TcpTransport`]/[`serve_tcp`] carry the identical
-//! frames over a socket with 4-byte length prefixes — used by the
-//! `client_server_tcp` example and the integration tests.
+//! would over a network. Over TCP the frames travel with 4-byte length
+//! prefixes to the one host, [`serve_tcp_mux`] (the `client_server_tcp`
+//! example, `ssxdb serve` and the integration tests all use it).
 //!
-//! # Multiplexed transport
+//! # The host and its two client framings
 //!
-//! The thread-per-connection hosts serialize a connection's waves: one
-//! request must be answered before the next is read, and every concurrent
-//! client costs an OS thread. [`serve_tcp_mux`] and the client-side
-//! [`MuxPool`]/[`MuxTransport`] replace that with a **multiplexed** plane:
+//! [`serve_tcp_mux`] serves a [`ShardedServer`] with a *small fixed pool*
+//! of threads, whatever the number of clients: one reader/dispatcher
+//! sweeping all connections' nonblocking sockets plus `workers` executors
+//! over the shared shard fleet, each writing its response the moment it
+//! completes under a per-connection send lock — so responses leave in
+//! **completion order**, not arrival order: a cheap request is never stuck
+//! behind an expensive one, whichever connection carried it.
 //!
-//! * a connection upgrades via a versioned [`Request::Hello`] handshake
-//!   (the extension of the [`Request::ShardCount`] exchange — the answer
-//!   carries the fleet size too), after which every frame payload is
-//!   prefixed with a `u64` correlation id
-//!   ([`crate::protocol::encode_corr_payload`]); pre-handshake frames keep
-//!   their exact legacy bytes, so a mux host still serves legacy clients;
-//! * the host runs a *small fixed pool* of threads — one reader/dispatcher
-//!   sweeping all connections' nonblocking sockets plus `workers`
-//!   executors over the shared shard fleet, each writing its response the
-//!   moment it completes under a per-connection send lock — so responses
-//!   leave in **completion order**, not arrival order: a cheap request is
-//!   never stuck behind an expensive one, whichever connection carried it;
-//! * the client pool opens **one socket per shard** and hands out any
-//!   number of [`MuxTransport`]s onto them: each in-flight wave parks on a
-//!   per-correlation completion slot, so many concurrent
+//! A connection starts in the **legacy framing**: one request, then its
+//! response, in the exact bytes [`TcpTransport`] speaks. A bare untagged
+//! frame routes to shard 0, so a single-filter client talks to a 1-shard
+//! host unchanged. A connection may instead upgrade to the **multiplexed
+//! framing**:
+//!
+//! * via a versioned [`Request::Hello`] handshake (the extension of the
+//!   [`Request::ShardCount`] exchange — the answer carries the fleet size
+//!   too), after which every frame payload is prefixed with a `u64`
+//!   correlation id ([`crate::protocol::encode_corr_payload`]);
+//! * the client pool [`MuxPool`] opens **one socket per shard** and hands
+//!   out any number of [`MuxTransport`]s onto them: each in-flight wave
+//!   parks on a per-correlation completion slot, so many concurrent
 //!   [`crate::router::ShardRouter`]s overlap their waves on the same wire.
 //!
-//! What the server observes per correlation id is exactly what it used to
-//! observe per connection (see DESIGN.md's transport section for the
+//! What the server observes per correlation id is exactly what it observes
+//! per legacy connection (see DESIGN.md's transport section for the
 //! leakage discussion).
 
 use crate::error::CoreError;
@@ -354,7 +355,8 @@ impl HasStats for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connects to a [`serve_tcp`] endpoint.
+    /// Connects to a [`serve_tcp_mux`] host in the legacy framing (bare
+    /// frames reach shard 0).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, CoreError> {
         Self::connect_within(addr, None)
     }
@@ -586,47 +588,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Serves `server` on `listener`, one connection at a time, until a client
-/// sends [`Request::Shutdown`]. A connection that breaks mid-stream (I/O
-/// error, unframeable bytes) is dropped and the next one accepted — a
-/// misbehaving client cannot take the server down. Returns the server
-/// filter (with its final stats) when shut down.
-pub fn serve_tcp(
-    listener: TcpListener,
-    mut server: ServerFilter,
-) -> Result<ServerFilter, CoreError> {
-    'outer: loop {
-        let (mut stream, _) = listener
-            .accept()
-            .map_err(|e| CoreError::Transport(format!("accept: {e}")))?;
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        // A clean hang-up (None) or poisoned stream (Err) both end the
-        // connection; the server accepts the next one.
-        while let Ok(Some(frame)) = read_frame(&mut stream) {
-            let resp = match decode_request(&frame) {
-                Ok(req) => {
-                    let resp = server.handle(&req);
-                    let shutdown = matches!(req, Request::Shutdown);
-                    if write_frame(&mut stream, &encode_response(&resp)).is_err() {
-                        break;
-                    }
-                    if shutdown {
-                        break 'outer;
-                    }
-                    continue;
-                }
-                Err(e) => Response::Err(e.to_string()),
-            };
-            if write_frame(&mut stream, &encode_response(&resp)).is_err() {
-                break;
-            }
-        }
-    }
-    Ok(server)
-}
-
 /// The exact error a generation-fenced connection is answered with after an
 /// online reshard. [`MuxPool`] transports match it verbatim to re-pool the
 /// slot's connection and replay the fenced request once.
@@ -688,74 +649,6 @@ impl ShardHost {
     }
 }
 
-/// Serves a [`ShardedServer`] on `listener`, one thread per connection,
-/// until any client sends [`Request::Shutdown`] (bare or shard-tagged, as a
-/// standalone frame). Clients address shards with [`Request::ToShard`];
-/// untagged requests go to shard 0, so a single-shard deployment speaks the
-/// exact legacy protocol. [`Request::Reshard`] repartitions the fleet
-/// online (see [`ShardedServer::reshard`]); connections that predate a
-/// reshard are fenced off with an explicit "reconnect" error — their
-/// partition is dead, and answering them could silently skip the new
-/// shards. Returns the sharded server (with its per-shard stats and final
-/// shard count) once every connection has drained.
-pub fn serve_tcp_sharded(
-    listener: TcpListener,
-    server: ShardedServer,
-) -> Result<ShardedServer, CoreError> {
-    serve_tcp_sharded_auto(listener, server, None)
-}
-
-/// [`serve_tcp_sharded`] with host-side auto-resharding: when
-/// `auto_target` is `Some(bytes)`, a tick thread sizes the fleet from the
-/// *stored* per-shard data (see [`auto_reshard_loop`]) and repartitions
-/// online whenever the suggestion differs from the current count. Results
-/// are invariant — a reshard moves rows bit-identically — but clients
-/// connected across a repartition see the generation fence and must
-/// reconnect ([`MuxPool`] heals same-count fences transparently).
-pub fn serve_tcp_sharded_auto(
-    listener: TcpListener,
-    server: ShardedServer,
-    auto_target: Option<u64>,
-) -> Result<ShardedServer, CoreError> {
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CoreError::Transport(format!("local_addr: {e}")))?;
-    let host = Arc::new(ShardHost {
-        filters: RwLock::new(server.into_filters().into_iter().map(Mutex::new).collect()),
-        generation: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-    });
-    std::thread::scope(|scope| -> Result<(), CoreError> {
-        if let Some(target) = auto_target {
-            let host = Arc::clone(&host);
-            scope.spawn(move || auto_reshard_loop(&host, target));
-        }
-        loop {
-            let (stream, _) = listener
-                .accept()
-                .map_err(|e| CoreError::Transport(format!("accept: {e}")))?;
-            if host.stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let host = Arc::clone(&host);
-            scope.spawn(move || {
-                // A connection failing mid-stream only ends that connection.
-                let _ = serve_sharded_connection(stream, &host, addr);
-            });
-        }
-    })?;
-    let host = Arc::into_inner(host).expect("all connection threads joined");
-    let filters: Vec<ServerFilter> = host
-        .filters
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .collect();
-    let spec = crate::shard::ShardSpec::new(filters.len() as u32);
-    Ok(ShardedServer::from_filters(spec, filters))
-}
-
 /// How often the auto-reshard ticker re-evaluates the stored-size
 /// suggestion. Short enough that tests converge quickly; the computation
 /// is a sum of per-shard size reports, not a scan.
@@ -802,8 +695,8 @@ fn auto_reshard_loop(host: &ShardHost, target: u64) {
     }
 }
 
-/// Handles one decoded request against the fleet, shared by the
-/// thread-per-connection host and the mux host's worker pool. `born` is the
+/// Handles one decoded request against the fleet, for the mux host's
+/// worker pool (legacy and multiplexed frames alike). `born` is the
 /// generation the connection was accepted under. Returns the response plus
 /// whether the request was an honoured [`Request::Shutdown`] (the caller
 /// stops the host after writing the response).
@@ -822,9 +715,9 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
     if let Request::Reshard { shards } = inner {
         return (host.reshard(*shards), false);
     }
-    // A mux handshake reaching this path is out of place: the mux host's
-    // reader upgrades connections before any request is dispatched, and the
-    // thread-per-connection host never multiplexes.
+    // A mux handshake reaching this path is out of place: the reader
+    // upgrades a legacy connection on a bare `Hello` frame before anything
+    // is dispatched, so only a shard-tagged or repeated `Hello` gets here.
     if matches!(inner, Request::Hello { .. }) {
         return (
             Response::Err("mux handshake must be the first frame of a mux host connection".into()),
@@ -856,35 +749,11 @@ fn host_handle_request(host: &ShardHost, born: u64, req: &Request) -> (Response,
     (resp, shutdown)
 }
 
-fn serve_sharded_connection(
-    mut stream: TcpStream,
-    host: &ShardHost,
-    addr: SocketAddr,
-) -> Result<(), CoreError> {
-    stream
-        .set_nodelay(true)
-        .map_err(|e| CoreError::Transport(format!("nodelay: {e}")))?;
-    let born = host.generation.load(Ordering::SeqCst);
-    while let Some(frame) = read_frame(&mut stream)? {
-        let (resp, shutdown) = match decode_request(&frame) {
-            Ok(req) => host_handle_request(host, born, &req),
-            Err(e) => (Response::Err(e.to_string()), false),
-        };
-        write_frame(&mut stream, &encode_response(&resp))?;
-        if shutdown {
-            host.stop.store(true, Ordering::SeqCst);
-            // Wake the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(addr);
-            return Ok(());
-        }
-    }
-    Ok(())
-}
-
 // ---- multiplexed host -------------------------------------------------------
 
-/// Executor threads [`serve_tcp_mux`] runs when the caller passes
-/// `workers = 0`.
+/// Executor threads [`serve_tcp_mux`] runs for `workers = 0` when the
+/// machine's parallelism cannot be queried. When it can, `workers = 0`
+/// sizes the pool to `available_parallelism()` clamped to `2..=8`.
 pub const DEFAULT_MUX_WORKERS: usize = 4;
 
 /// Per-connection state of the mux host, shared between the reader (which
@@ -952,11 +821,17 @@ pub const DEFAULT_MUX_WRITE_STALL: Duration = Duration::from_secs(5);
 /// Tuning knobs of the multiplexed host ([`serve_tcp_mux_opts`]).
 #[derive(Clone, Copy, Debug)]
 pub struct MuxHostOptions {
-    /// Executor threads; `0` sizes the pool to the machine (see
-    /// [`DEFAULT_MUX_WORKERS`]).
+    /// Executor threads; `0` sizes the pool to the machine's available
+    /// parallelism, clamped to `2..=8` ([`DEFAULT_MUX_WORKERS`] when that
+    /// cannot be queried).
     pub workers: usize,
-    /// Host-side auto-resharding byte budget (see
-    /// [`serve_tcp_sharded_auto`]); `None` disables the ticker.
+    /// Host-side auto-resharding byte budget: a tick thread sizes the
+    /// fleet from the *stored* per-shard data and repartitions online
+    /// whenever the suggestion differs from the current count. Results are
+    /// invariant — a reshard moves rows bit-identically — but clients
+    /// connected across a repartition see the generation fence ([`MuxPool`]
+    /// heals same-count fences transparently; count-changing ones need a
+    /// reconnect). `None` disables the ticker.
     pub auto_target: Option<u64>,
     /// How long one response send may stall before the connection is
     /// poisoned (see [`DEFAULT_MUX_WRITE_STALL`]). Exposed on the CLI as
@@ -1006,23 +881,26 @@ fn write_all_nonblocking(
     Ok(())
 }
 
-/// Serves a [`ShardedServer`] with a **fixed thread pool over multiplexed
-/// connections** instead of one thread per connection: one
-/// reader/dispatcher thread sweeps every connection's nonblocking socket
-/// and feeds `workers` executor threads (0 = a pool sized to the machine,
-/// see [`DEFAULT_MUX_WORKERS`]) that run requests against the shared fleet
-/// and write each response as it completes, under per-connection send
-/// locks — **completion order**, out-of-order with respect to arrival, so
-/// waves from many clients overlap on the wire instead of queueing behind
-/// a thread each.
+/// Serves a [`ShardedServer`] on `listener` — the one TCP host. A **fixed
+/// thread pool** serves every connection: one reader/dispatcher thread
+/// sweeps each connection's nonblocking socket and feeds `workers` executor
+/// threads (`0` sizes the pool to the machine, see [`MuxHostOptions::workers`])
+/// that run requests against the shared fleet and write each response as
+/// it completes, under per-connection send locks — **completion order**,
+/// out-of-order with respect to arrival, so waves from many clients overlap
+/// on the wire. No client can make the host start a thread.
 ///
-/// Connections start in the legacy framing ([`serve_tcp_sharded`]'s exact
-/// wire shape, byte for byte) and upgrade to correlation-tagged frames via
-/// [`Request::Hello`]; legacy clients are served unchanged. Fleet-level
+/// Connections start in the legacy framing (one request, one response;
+/// [`TcpTransport`]'s exact bytes) and may upgrade to correlation-tagged
+/// frames via [`Request::Hello`]. Clients address shards with
+/// [`Request::ToShard`]; untagged requests go to shard 0. The fleet-level
 /// frames ([`Request::ShardCount`], [`Request::Reshard`],
-/// [`Request::Shutdown`]) and the reshard generation fence behave exactly
-/// as on the thread-per-connection host. Returns the sharded server once a
-/// client sends [`Request::Shutdown`].
+/// [`Request::Shutdown`]) answer for the whole host, and connections that
+/// predate a reshard are fenced off with an explicit "reconnect" error —
+/// their partition is dead, and answering them could silently skip the new
+/// shards. Returns the sharded server (with its per-shard stats and final
+/// shard count) once a client sends [`Request::Shutdown`] to a shard that
+/// exists.
 pub fn serve_tcp_mux(
     listener: TcpListener,
     server: ShardedServer,
@@ -1033,27 +911,6 @@ pub fn serve_tcp_mux(
         server,
         MuxHostOptions {
             workers,
-            ..MuxHostOptions::default()
-        },
-    )
-}
-
-/// [`serve_tcp_mux`] with host-side auto-resharding (see
-/// [`serve_tcp_sharded_auto`]): same ticker, same stored-size suggestion,
-/// over the multiplexed host. [`MuxPool`] clients ride a same-count fence
-/// transparently; count-changing repartitions still require a reconnect.
-pub fn serve_tcp_mux_auto(
-    listener: TcpListener,
-    server: ShardedServer,
-    workers: usize,
-    auto_target: Option<u64>,
-) -> Result<ShardedServer, CoreError> {
-    serve_tcp_mux_opts(
-        listener,
-        server,
-        MuxHostOptions {
-            workers,
-            auto_target,
             ..MuxHostOptions::default()
         },
     )
@@ -1241,7 +1098,7 @@ fn mux_reader_loop(
 /// Extracts every complete frame from `buf` and dispatches it. Returns
 /// `false` when the connection's framing is beyond recovery (oversized
 /// length prefix, corr envelope shorter than its id) — the caller drops the
-/// connection, exactly as the blocking hosts drop an unframeable stream.
+/// connection; the host keeps serving every other one.
 fn drain_host_frames(
     conn: &Arc<MuxHostConn>,
     buf: &mut Vec<u8>,
@@ -1310,8 +1167,8 @@ fn drain_host_frames(
 }
 
 /// One executor of the mux host's pool: decodes a job's frame, runs it
-/// against the fleet (same interception, fence and routing as the
-/// thread-per-connection host), and sends the framed response the moment
+/// against the fleet ([`host_handle_request`]: fleet-level interception,
+/// generation fence, shard routing), and sends the framed response the moment
 /// it completes — out of order with respect to arrival. An honoured
 /// [`Request::Shutdown`] stops the host after its ack is sent.
 fn mux_worker_loop(job_rx: &Mutex<mpsc::Receiver<MuxJob>>, host: &ShardHost, addr: SocketAddr) {
@@ -1411,8 +1268,9 @@ impl MuxPool {
     /// [`Request::Hello`] handshake on each. Like
     /// [`crate::router::ShardRouter::connect`], a shard count that
     /// disagrees with the server's is refused (the Hello answer carries the
-    /// fleet size); a host that does not multiplex (no `--mux`) refuses the
-    /// handshake with a descriptive error.
+    /// fleet size); a peer that refuses the handshake (an unsupported
+    /// version, or an endpoint that does not multiplex) yields a
+    /// descriptive error.
     pub fn connect<A: ToSocketAddrs + Copy>(addr: A, shards: u32) -> Result<Self, CoreError> {
         let spec = ShardSpec::new(shards);
         // Resolve once so the slots can reconnect after a reshard fence
@@ -1470,7 +1328,7 @@ impl MuxPool {
             }
             Response::Err(e) => {
                 return Err(CoreError::Transport(format!(
-                    "mux handshake refused: {e} (serve with --mux, or connect without it)"
+                    "mux handshake refused: {e} (connect without --mux)"
                 )))
             }
             other => {
@@ -1801,7 +1659,8 @@ mod tests {
     fn tcp_round_trip() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
+        let handle =
+            std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(1), 0).unwrap());
 
         let mut t = TcpTransport::connect(addr).unwrap();
         assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(3));
@@ -1815,7 +1674,7 @@ mod tests {
         }
         assert_eq!(t.call(&Request::Shutdown).unwrap(), Response::Ok);
         let server = handle.join().unwrap();
-        assert!(server.stats().requests >= 4);
+        assert!(server.filters()[0].stats().requests >= 4);
         assert_eq!(t.stats().round_trips, 4);
     }
 
@@ -1834,7 +1693,7 @@ mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
         let mut t = TcpTransport::connect(addr).unwrap();
         match t.call(&Request::Reshard { shards: 1 }).unwrap() {
@@ -1947,24 +1806,10 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// A host that does not multiplex refuses the handshake with a
-    /// descriptive error instead of hanging or panicking.
-    #[test]
-    fn non_mux_host_refuses_the_handshake() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
-        match MuxPool::connect(addr, 1) {
-            Err(CoreError::Transport(msg)) => assert!(msg.contains("mux"), "{msg}"),
-            other => panic!("expected a refusal, got {:?}", other.map(|_| "pool")),
-        }
-        let mut t = TcpTransport::connect(addr).unwrap();
-        t.call(&Request::Shutdown).unwrap();
-        handle.join().unwrap();
-    }
-
     /// The Hello answer carries the fleet size: a mismatched shard count is
-    /// refused at connect, exactly like the router handshake.
+    /// refused at connect, exactly like the router handshake. A handshake
+    /// the peer refuses — an unsupported version at the host, or any error
+    /// answer — is a typed error too, never a hang or a panic.
     #[test]
     fn mux_shard_count_mismatch_refused_at_connect() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1979,8 +1824,29 @@ mod tests {
         }
         let pool = MuxPool::connect(addr, 2).unwrap();
         assert_eq!(pool.shards(), 2);
+        // A refused upgrade leaves the connection in the legacy framing.
+        let mut raw = TcpTransport::connect(addr).unwrap();
+        match raw.call(&Request::Hello { version: 0 }).unwrap() {
+            Response::Err(msg) => assert!(msg.contains("unsupported mux version"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(raw.call(&Request::ShardCount).unwrap(), Response::Count(2));
         pool.transport(0).call(&Request::Shutdown).unwrap();
         handle.join().unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap();
+            let refusal = encode_response(&Response::Err("no mux here".into()));
+            write_frame(&mut stream, &refusal).unwrap();
+        });
+        match MuxPool::connect(addr, 1) {
+            Err(CoreError::Transport(msg)) => assert!(msg.contains("refused"), "{msg}"),
+            other => panic!("expected a refusal, got {:?}", other.map(|_| "pool")),
+        }
+        peer.join().unwrap();
     }
 
     /// Dropping every handle to a pool closes its sockets for real (the
@@ -2032,7 +1898,8 @@ mod tests {
     fn tcp_survives_reconnect() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
+        let handle =
+            std::thread::spawn(move || serve_tcp_mux(listener, demo_sharded(1), 0).unwrap());
 
         {
             let mut t1 = TcpTransport::connect(addr).unwrap();

@@ -13,7 +13,7 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp, AdvancedEngine, ClientFilter, MatchRule, ServerFilter,
+    encode_document, serve_tcp_mux, AdvancedEngine, ClientFilter, MatchRule, ShardedServer,
     SimpleEngine, TcpTransport,
 };
 use ssxdb::prg::{Prg, Seed};
@@ -37,11 +37,12 @@ fn main() {
     );
 
     // --- server side: receives table + public ring parameters only ------
-    let server = ServerFilter::new(out.table, out.ring);
+    // One shard: the client's bare (untagged) frames all reach it.
+    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     println!("server listening on {addr} (holds shares + structure, no secrets)");
-    let server_thread = std::thread::spawn(move || serve_tcp(listener, server).unwrap());
+    let server_thread = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     // --- client connects and queries ------------------------------------
     let transport = TcpTransport::connect(addr).unwrap();
@@ -79,7 +80,7 @@ fn main() {
     // Shut the server down cleanly.
     client.transport_mut().call(&Request::Shutdown).unwrap();
     let server = server_thread.join().unwrap();
-    let stats = server.stats();
+    let stats = server.filters()[0].stats();
     println!(
         "\nserver handled {} requests: {} share evaluations, {} polynomials served",
         stats.requests, stats.evaluations, stats.polys_served

@@ -24,7 +24,7 @@
 //!               (--addr <host:port> [--shards S] | --fleet a1,a2,… --threshold t)
 //!               [--mux] [--deadline-ms MS] [--retries N] <root-pre>
 //! ssxdb serve   --p <p> --e <e> --addr <host:port> [--shards S]
-//!               [--mux [--workers W] [--write-stall-ms MS]]
+//!               [--workers W] [--write-stall-ms MS]
 //!               [--party i] [--auto-reshard-target BYTES] <db.ssxdb | party-store>
 //! ssxdb remote  --map <map> --seed <seed> --addr <host:port> [--shards S]
 //!               [--engine …] [--rule …] [--speculate] [--mux] [--deadline-ms MS]
@@ -36,20 +36,20 @@
 //! ```
 //!
 //! `serve --shards S` partitions the table across `S` independent server
-//! filters behind one concurrent listener; `remote --shards S` opens one
+//! filters behind one listener; `remote --shards S` opens one
 //! connection per shard and batches each query frontier across them.
 //! `remote --speculate` overlaps dependent waves (the next frontier's
 //! expansion rides the current wave's frames). `reshard` repartitions a
 //! running sharded host **online** — rows move in memory, bit-identically;
 //! clients connected under the old shard count must reconnect.
 //!
-//! `serve --mux` swaps the thread-per-connection host for the multiplexed
-//! one: a fixed pool of reader/executor/writer threads (`--workers W`,
-//! default 4) over nonblocking sockets, answering correlation-tagged
-//! frames out of order so any number of concurrent clients overlap their
-//! query waves. Legacy (non-mux) clients are still served unchanged.
-//! `remote --mux` connects through the correlation envelope — one
-//! multiplexed socket per shard.
+//! `serve` runs a fixed pool of threads whatever the number of clients:
+//! one reader over nonblocking sockets plus `--workers W` executors
+//! (default: the machine's parallelism, clamped to 2..=8), answering
+//! frames out of order as they complete. A plain `remote` speaks the
+//! legacy framing (one request in flight per socket); `remote --mux`
+//! upgrades its sockets to correlation-tagged frames — one multiplexed
+//! socket per shard, so concurrent queries overlap their waves.
 //!
 //! `encode --servers n --threshold t` splits the database into `n`
 //! per-party share stores (`out.party1.ssxdb` … `out.partyN.ssxdb`), any
@@ -65,7 +65,7 @@
 //! `--retries N` retries transient failures with exponential backoff over
 //! a fresh connection, and `--hedge` answers each fleet wave from the
 //! first `t` verified responses while stragglers drain in the background.
-//! On the host side, `serve --mux --write-stall-ms MS` bounds how long a
+//! On the host side, `serve --write-stall-ms MS` bounds how long a
 //! non-reading client may stall a writer before its connection is shed.
 //!
 //! `insert` and `delete` are the write plane. Against a local store they
@@ -86,11 +86,10 @@
 //! would hold).
 
 use ssxdb::core::{
-    encode_document, encode_dom, party_server, run_aggregate, serve_tcp, serve_tcp_mux_opts,
-    serve_tcp_sharded, serve_tcp_sharded_auto, split_fleet, AggOp, AggregateSpec, ClientFilter,
-    EncryptedDb, Engine, EngineKind, FleetSpec, MapFile, MatchRule, MuxHostOptions, MuxPool,
-    RemoteDb, RemoteFleetDb, RemoteMuxDb, RemoteMuxFleetDb, ResilienceConfig, ServerFilter,
-    ShardRouter, ShardedServer, Transport,
+    encode_document, encode_dom, party_server, run_aggregate, serve_tcp_mux_opts, split_fleet,
+    AggOp, AggregateSpec, ClientFilter, EncryptedDb, Engine, EngineKind, FleetSpec, MapFile,
+    MatchRule, MuxHostOptions, MuxPool, RemoteDb, RemoteFleetDb, RemoteMuxDb, RemoteMuxFleetDb,
+    ResilienceConfig, ServerFilter, ShardRouter, ShardedServer, Transport,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -164,7 +163,7 @@ commands:
   delete  --map M --seed S (--addr H:P [--shards S] | --fleet A1,.. --threshold t)
           [--mux] [--deadline-ms MS] [--retries N] <root-pre>
   serve   --p P --e E --addr HOST:PORT [--shards S]
-          [--mux [--workers W] [--write-stall-ms MS]] [--party i]
+          [--workers W] [--write-stall-ms MS] [--party i]
           [--auto-reshard-target BYTES] <db.ssxdb | party store>
   remote  --map M --seed S --addr HOST:PORT [--shards S]
           [--engine ..] [--rule ..] [--speculate] [--mux]
@@ -870,107 +869,64 @@ fn serve(mut args: Args) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| "bad --auto-reshard-target")?),
         None => None,
     };
-    if let Some(i) = args.flag("party") {
-        if auto_target.is_some() {
-            return Err(
-                "--auto-reshard-target cannot run on a fleet party host: repartitioning \
-                 would merge its data and MAC planes"
-                    .into(),
+    let party = match args.flag("party") {
+        Some(i) => Some(i.parse::<u32>().map_err(|_| "bad --party")?),
+        None => None,
+    };
+    // The plain store and a fleet party differ only in how the sharded
+    // server is built; both go through the one host below.
+    let (server, what) = match party {
+        Some(party) => {
+            if auto_target.is_some() {
+                return Err(
+                    "--auto-reshard-target cannot run on a fleet party host: repartitioning \
+                     would merge its data and MAC planes"
+                        .into(),
+                );
+            }
+            let (header, data, mac) = load_party(&db_path).map_err(|err| err.to_string())?;
+            if header.party != party {
+                return Err(format!(
+                    "{} holds party {}'s shares, not party {party}'s",
+                    db_path.display(),
+                    header.party
+                ));
+            }
+            let server = party_server(data, mac, &ring, shards).map_err(|err| err.to_string())?;
+            let what = format!(
+                "party {party} of {} (threshold {}): {shards} data shard(s) + MAC mirror",
+                header.servers, header.threshold
             );
+            (server, what)
         }
-        let party: u32 = i.parse().map_err(|_| "bad --party")?;
-        let (header, data, mac) = load_party(&db_path).map_err(|err| err.to_string())?;
-        if header.party != party {
-            return Err(format!(
-                "{} holds party {}'s shares, not party {party}'s",
-                db_path.display(),
-                header.party
-            ));
+        None => {
+            let (table, _) = load_with_log(&db_path)?;
+            let server =
+                ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
+            (
+                server,
+                format!("{} across {shards} shard(s)", db_path.display()),
+            )
         }
-        let server = party_server(data, mac, &ring, shards).map_err(|err| err.to_string())?;
-        let listener = std::net::TcpListener::bind(&addr).map_err(|err| err.to_string())?;
-        println!(
-            "serving party {party} of {} (threshold {}) on {addr}: {shards} data shard(s) \
-             + MAC mirror (Ctrl-C or a Shutdown request stops it)",
-            header.servers, header.threshold
-        );
-        let server = if args.bool("mux") {
-            let opts = mux_host_options(&args, None)?;
-            serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?
-        } else {
-            serve_tcp_sharded(listener, server).map_err(|err| err.to_string())?
-        };
-        for (i, f) in server.filters().iter().enumerate() {
-            let s = f.stats();
-            let plane = if (i as u32) < shards { "data" } else { "mac" };
-            println!(
-                "{plane} shard {}: {} rows, {} requests, {} evaluations",
-                i as u32 % shards,
-                f.table().len(),
-                s.requests,
-                s.evaluations
-            );
-        }
-        return Ok(());
-    }
-    let (table, _) = load_with_log(&db_path)?;
+    };
+    let opts = mux_host_options(&args, auto_target)?;
     let listener = std::net::TcpListener::bind(&addr).map_err(|err| err.to_string())?;
-    if args.bool("mux") {
-        let opts = mux_host_options(&args, auto_target)?;
-        let server =
-            ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
+    println!("serving {what} on {addr} (Ctrl-C or a Shutdown request stops it)");
+    let server = serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?;
+    for (i, f) in server.filters().iter().enumerate() {
+        let shard = match party {
+            Some(_) if (i as u32) < shards => format!("data shard {i}"),
+            Some(_) => format!("mac shard {}", i as u32 - shards),
+            None => format!("shard {i}"),
+        };
+        let s = f.stats();
         println!(
-            "serving {} on {addr} across {shards} shard(s), multiplexed \
-             (fixed thread pool; Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
+            "{shard}: {} rows, {} requests, {} evaluations, {} polynomials",
+            f.table().len(),
+            s.requests,
+            s.evaluations,
+            s.polys_served
         );
-        let server = serve_tcp_mux_opts(listener, server, opts).map_err(|err| err.to_string())?;
-        for (i, f) in server.filters().iter().enumerate() {
-            let s = f.stats();
-            println!(
-                "shard {i}: {} rows, {} requests, {} evaluations, {} polynomials",
-                f.table().len(),
-                s.requests,
-                s.evaluations,
-                s.polys_served
-            );
-        }
-        return Ok(());
-    }
-    if shards <= 1 && auto_target.is_none() {
-        let server = ServerFilter::new(table, ring);
-        println!(
-            "serving {} on {addr} (Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
-        );
-        let server = serve_tcp(listener, server).map_err(|err| err.to_string())?;
-        let stats = server.stats();
-        println!(
-            "served {} requests: {} evaluations, {} polynomials",
-            stats.requests, stats.evaluations, stats.polys_served
-        );
-    } else {
-        // --auto-reshard-target always goes through the sharded host, even
-        // at --shards 1: the ticker needs a repartitionable fleet to grow.
-        let server =
-            ShardedServer::from_table(table, ring, shards).map_err(|err| err.to_string())?;
-        println!(
-            "serving {} on {addr} across {shards} shard(s), one thread per connection \
-             (Ctrl-C or a Shutdown request stops it)",
-            db_path.display()
-        );
-        let server =
-            serve_tcp_sharded_auto(listener, server, auto_target).map_err(|err| err.to_string())?;
-        for (i, f) in server.filters().iter().enumerate() {
-            let s = f.stats();
-            println!(
-                "shard {i}: {} rows, {} requests, {} evaluations, {} polynomials",
-                f.table().len(),
-                s.requests,
-                s.evaluations,
-                s.polys_served
-            );
-        }
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! The aggregation plane end to end, pinning the PR-10 acceptance
 //! criteria: COUNT/SUM/AVG (with and without a numeric range predicate)
 //! must be bit-identical to the plaintext oracle over the in-process
-//! plane, a sharded TCP host, a multiplexed TCP host, and a 3-process
+//! plane, legacy and multiplexed clients of a sharded TCP host, and a 3-process
 //! t = 2 fleet with one party killed mid-run — and the closing share-sum
 //! must cost exactly one wave beyond the predicate walk (two with a
 //! range), on every transport.
@@ -9,9 +9,9 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, run_aggregate, serve_tcp_mux, serve_tcp_sharded, AggOp, AggregateSpec,
-    ClientFilter, CoreError, EncryptedDb, EngineKind, MapFile, MatchRule, MuxPool, RemoteDb,
-    ShardRouter, ShardedServer, TcpTransport,
+    encode_document, run_aggregate, serve_tcp_mux, AggOp, AggregateSpec, ClientFilter, CoreError,
+    EncryptedDb, EngineKind, MapFile, MatchRule, MuxPool, RemoteDb, ShardRouter, ShardedServer,
+    TcpTransport,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -52,7 +52,7 @@ fn run_on<T: Transport>(
 }
 
 /// The dedicated zero-extra-waves + transport-matrix test: local,
-/// sharded-TCP and mux-TCP stacks answer every case with the oracle's
+/// legacy-TCP and mux-TCP clients answer every case with the oracle's
 /// exact numbers, and the close costs one wave (two with a range) on all
 /// of them.
 #[test]
@@ -66,27 +66,22 @@ fn aggregates_are_transport_invariant_and_cost_one_closing_wave() {
     let out = encode_document(&xml, &map, &seed).unwrap();
     let ring_len = out.ring.len();
 
-    // Three stacks over the same rows: in-process (S=2), thread-per-
-    // connection TCP (S=2), multiplexed TCP (S=2).
+    // Three stacks over the same rows: in-process (S=2), and a legacy and
+    // a multiplexed client of one TCP host (S=2).
     let mut local = EncryptedDb::encode_sharded(&xml, map.clone(), seed.clone(), 2).unwrap();
 
-    let tcp_server = ShardedServer::from_table(out.table.clone(), out.ring.clone(), 2).unwrap();
-    let tcp_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let tcp_addr = tcp_listener.local_addr().unwrap();
-    let tcp_handle = std::thread::spawn(move || serve_tcp_sharded(tcp_listener, tcp_server));
-
-    let mux_server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-    let mux_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mux_addr = mux_listener.local_addr().unwrap();
-    let mux_handle = std::thread::spawn(move || serve_tcp_mux(mux_listener, mux_server, 0));
+    let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0));
 
     let mut tcp_client = ClientFilter::new(
-        ShardRouter::connect(tcp_addr, 2).unwrap(),
+        ShardRouter::connect(addr, 2).unwrap(),
         map.clone(),
         seed.clone(),
     )
     .unwrap();
-    let pool = MuxPool::connect(mux_addr, 2).unwrap();
+    let pool = MuxPool::connect(addr, 2).unwrap();
     let mut mux_client =
         ClientFilter::new(ShardRouter::mux(&pool), map.clone(), seed.clone()).unwrap();
 
@@ -119,16 +114,11 @@ fn aggregates_are_transport_invariant_and_cost_one_closing_wave() {
         }
     }
 
-    // Thread-per-connection hosts only wind down once every client socket
-    // is gone; mux hosts shed live connections themselves.
     tcp_client.transport_mut().call(&Request::Shutdown).unwrap();
     drop(tcp_client);
-    tcp_handle.join().unwrap().unwrap();
-    let mut closer = TcpTransport::connect(mux_addr).unwrap();
-    closer.call(&Request::Shutdown).unwrap();
     drop(mux_client);
     drop(pool);
-    mux_handle.join().unwrap().unwrap();
+    handle.join().unwrap().unwrap();
 }
 
 /// A writer racing an aggregate over TCP: the stale closing wave is a
@@ -146,7 +136,7 @@ fn aggregate_racing_a_remote_writer_is_typed_and_converges() {
     let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server));
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0));
 
     // Reader and writer are independent connections to the same store.
     let mut reader = ClientFilter::new(

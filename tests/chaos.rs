@@ -8,7 +8,7 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::TransportStats;
 use ssxdb::core::{
-    encode_document_fleet, fleet_mac_key, party_server, serve_tcp_sharded, ChaosConfig, ChaosProxy,
+    encode_document_fleet, fleet_mac_key, party_server, serve_tcp_mux, ChaosConfig, ChaosProxy,
     ChaosTransport, ClientFilter, CoreError, Dialer, EncryptedDb, Engine, EngineKind, FleetLeg,
     FleetSpec, FleetTransport, LocalPartyTransport, MapFile, MatchRule, PartyHealth,
     ResilienceConfig, ShardRouter, ShardSpec, TcpTransport, Transport,
@@ -257,7 +257,7 @@ fn chaos_proxy_soak_replays_from_a_printed_seed() {
         let server = party_server(p.data, p.mac, &ring, 1).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+        let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
         let cfg = ChaosConfig::soak(seed_base.wrapping_add(party as u64));
         proxies.push(ChaosProxy::spawn(addr, cfg).unwrap());
         hosts.push((addr, handle));

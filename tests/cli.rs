@@ -249,77 +249,83 @@ fn serve_and_remote_query() {
     assert!(status.success());
 }
 
-/// The multiplexed plane over the CLI: `serve --mux` hosts the same
-/// database behind the fixed thread pool, `remote --mux` queries it through
-/// the correlation envelope, and a legacy (non-mux) `remote` against the
-/// same host still answers — identically.
+/// The multiplexed plane over the CLI: `serve` hosts the database behind
+/// its fixed thread pool, `remote --mux` queries it through the
+/// correlation envelope, and a legacy (non-mux) `remote` against the same
+/// host still answers — identically. A plain `serve` and the older
+/// `serve --mux` spelling start the same host.
 #[test]
 fn mux_serve_and_remote_via_cli() {
     let dir = fixture("mux_serve");
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    let mut server = Command::new(bin())
-        .args([
-            "serve", "--p", "83", "--e", "1", "--addr", &addr, "--shards", "2", "--mux", "db.ssxdb",
-        ])
-        .current_dir(&dir)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut connected = false;
-    for _ in 0..50 {
-        if std::net::TcpStream::connect(&addr).is_ok() {
-            connected = true;
-            break;
+    for serve_flags in [&[][..], &["--mux"][..]] {
+        let port = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().port()
+        };
+        let addr = format!("127.0.0.1:{port}");
+        let mut serve_args = vec![
+            "serve", "--p", "83", "--e", "1", "--addr", &addr, "--shards", "2",
+        ];
+        serve_args.extend(serve_flags);
+        serve_args.push("db.ssxdb");
+        let mut server = Command::new(bin())
+            .args(&serve_args)
+            .current_dir(&dir)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut connected = false;
+        for _ in 0..50 {
+            if std::net::TcpStream::connect(&addr).is_ok() {
+                connected = true;
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
         }
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(connected, "server {serve_flags:?} did not come up");
+
+        let common = [
+            "remote",
+            "--map",
+            "map.properties",
+            "--seed",
+            "seed.hex",
+            "--addr",
+            &addr,
+            "--shards",
+            "2",
+        ];
+        let mut mux_args: Vec<&str> = common.to_vec();
+        mux_args.extend([
+            "--mux",
+            "--speculate",
+            "--stats",
+            "/site/regions/europe/item",
+        ]);
+        let muxed = assert_ok(&mux_args, &dir);
+        assert!(muxed.contains("match(es)"), "{muxed}");
+
+        let mut legacy_args: Vec<&str> = common.to_vec();
+        legacy_args.push("/site/regions/europe/item");
+        let legacy = assert_ok(&legacy_args, &dir);
+        let matches = |s: &String| {
+            s.lines()
+                .find(|l| l.contains("match(es)"))
+                .map(str::to_string)
+        };
+        assert_eq!(
+            matches(&muxed),
+            matches(&legacy),
+            "serve {serve_flags:?}: mux and legacy clients must agree"
+        );
+
+        use ssxdb::core::protocol::Request;
+        use ssxdb::core::{TcpTransport, Transport};
+        let mut t = TcpTransport::connect(&addr).unwrap();
+        t.call(&Request::Shutdown).unwrap();
+        let status = server.wait().unwrap();
+        assert!(status.success());
     }
-    assert!(connected, "mux server did not come up");
-
-    let common = [
-        "remote",
-        "--map",
-        "map.properties",
-        "--seed",
-        "seed.hex",
-        "--addr",
-        &addr,
-        "--shards",
-        "2",
-    ];
-    let mut mux_args: Vec<&str> = common.to_vec();
-    mux_args.extend([
-        "--mux",
-        "--speculate",
-        "--stats",
-        "/site/regions/europe/item",
-    ]);
-    let muxed = assert_ok(&mux_args, &dir);
-    assert!(muxed.contains("match(es)"), "{muxed}");
-
-    let mut legacy_args: Vec<&str> = common.to_vec();
-    legacy_args.push("/site/regions/europe/item");
-    let legacy = assert_ok(&legacy_args, &dir);
-    let matches = |s: &String| {
-        s.lines()
-            .find(|l| l.contains("match(es)"))
-            .map(str::to_string)
-    };
-    assert_eq!(
-        matches(&muxed),
-        matches(&legacy),
-        "mux and legacy clients must agree"
-    );
-
-    use ssxdb::core::protocol::Request;
-    use ssxdb::core::{TcpTransport, Transport};
-    let mut t = TcpTransport::connect(&addr).unwrap();
-    t.call(&Request::Shutdown).unwrap();
-    let status = server.wait().unwrap();
-    assert!(status.success());
 }
 
 /// The online re-sharding workflow over the CLI: a sharded host comes up

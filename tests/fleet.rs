@@ -9,9 +9,9 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document_fleet, party_server, serve_tcp_mux, serve_tcp_sharded, CoreError, EncryptedDb,
-    EngineKind, FleetSpec, MapFile, MatchRule, PartyStore, RemoteFleetDb, RemoteMuxFleetDb,
-    ShardedServer, TcpTransport,
+    encode_document_fleet, party_server, serve_tcp_mux, CoreError, EncryptedDb, EngineKind,
+    FleetSpec, MapFile, MatchRule, PartyStore, RemoteFleetDb, RemoteMuxFleetDb, ShardedServer,
+    TcpTransport,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::{Prg, Seed};
@@ -40,18 +40,11 @@ fn bench_document() -> String {
 fn spawn_party(
     party: PartyStore,
     ring: &RingCtx,
-    mux: bool,
 ) -> (SocketAddr, std::thread::JoinHandle<ShardedServer>) {
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        if mux {
-            serve_tcp_mux(listener, server, 0).unwrap()
-        } else {
-            serve_tcp_sharded(listener, server).unwrap()
-        }
-    });
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
@@ -74,7 +67,7 @@ fn fig5_chain_is_bit_identical_between_single_party_and_tcp_fleet() {
     let hosts: Vec<_> = fleet_out
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -138,12 +131,12 @@ fn killing_any_single_server_mid_run_returns_correct_results() {
     for victim in 0..3usize {
         let fleet_out = encode_document_fleet(&xml, &map, &seed, spec).unwrap();
         let ring = fleet_out.ring.clone();
-        // Mux hosts wind down their sockets even under live connections —
+        // The host winds down its sockets even under live connections —
         // the abrupt-death shape.
         let hosts: Vec<_> = fleet_out
             .parties
             .into_iter()
-            .map(|p| spawn_party(p, &ring, true))
+            .map(|p| spawn_party(p, &ring))
             .collect();
         let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -215,7 +208,7 @@ fn corrupted_share_is_detected_and_attributed() {
     let hosts: Vec<_> = fleet_out
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -260,7 +253,7 @@ fn party_hosts_refuse_resharding() {
     let fleet_out = encode_document_fleet(xml, &map, &seed, spec).unwrap();
     let ring = fleet_out.ring.clone();
     let party = fleet_out.parties.into_iter().next().unwrap();
-    let (addr, handle) = spawn_party(party, &ring, false);
+    let (addr, handle) = spawn_party(party, &ring);
 
     let mut admin = TcpTransport::connect(addr).unwrap();
     match admin.call(&Request::Reshard { shards: 4 }).unwrap() {

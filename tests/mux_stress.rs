@@ -2,7 +2,7 @@
 //! one [`MuxPool`] (one socket per shard) must each see exactly the answers
 //! the single-client plaintext oracle (`reference.rs`) predicts, for every
 //! engine × rule; wave and speculation counters must be invariant between
-//! the threaded and mux transports; a reshard racing the pool must surface
+//! the legacy and mux client framings; a reshard racing the pool must surface
 //! as explicit errors, never wrong answers; and garbage on a neighbouring
 //! connection must not confuse anyone's completion slots.
 //!
@@ -12,9 +12,8 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, reference_eval, serve_tcp_mux, serve_tcp_sharded, ClientFilter, EncryptedDb,
-    Engine, EngineKind, MapFile, MatchRule, MuxPool, RemoteMuxDb, ShardRouter, ShardedServer,
-    TcpTransport,
+    encode_document, reference_eval, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind,
+    MapFile, MatchRule, MuxPool, RemoteMuxDb, ShardRouter, ShardedServer, TcpTransport,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -135,8 +134,8 @@ fn concurrent_mux_clients_match_the_plaintext_oracle() {
 }
 
 /// The acceptance criterion pinned end to end: on the fig5 chain, results
-/// are **bit-identical** across the local plane, the thread-per-connection
-/// TCP host and the mux TCP host for S ∈ {1, 2, 4} — and the wave count,
+/// are **bit-identical** across the local plane, a legacy client and a mux
+/// client of the TCP host for S ∈ {1, 2, 4} — and the wave count,
 /// `speculative_hits` and `speculative_wasted` are invariant too, with
 /// speculation off and on. The mux transport may change how frames travel;
 /// it must not change how many waves the router runs or what it prefetches.
@@ -151,14 +150,7 @@ fn waves_and_speculation_counters_invariant_across_transports() {
     });
     let query = parse_query(FIG5_CHAIN).unwrap().expand_text_predicates();
     for shards in [1u32, 2, 4] {
-        // Threaded host.
-        let out = encode_document(&xml, &map, &seed).unwrap();
-        let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tcp_addr = listener.local_addr().unwrap();
-        let tcp_handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
-        // Mux host.
-        let (mux_addr, mux_handle) = spawn_mux_host(&xml, &map, &seed, shards);
+        let (addr, handle) = spawn_mux_host(&xml, &map, &seed, shards);
 
         for speculate in [false, true] {
             // Local baseline.
@@ -169,10 +161,10 @@ fn waves_and_speculation_counters_invariant_across_transports() {
                 .run(&query, EngineKind::Simple, MatchRule::Containment)
                 .unwrap();
 
-            let mut tcp_router = ShardRouter::connect(tcp_addr, shards).unwrap();
+            let mut tcp_router = ShardRouter::connect(addr, shards).unwrap();
             tcp_router.set_speculation(speculate);
             let mut tcp_client = ClientFilter::new(tcp_router, map.clone(), seed.clone()).unwrap();
-            let threaded = Engine::run(
+            let legacy = Engine::run(
                 EngineKind::Simple,
                 MatchRule::Containment,
                 &query,
@@ -180,7 +172,7 @@ fn waves_and_speculation_counters_invariant_across_transports() {
             )
             .unwrap();
 
-            let pool = MuxPool::connect(mux_addr, shards).unwrap();
+            let pool = MuxPool::connect(addr, shards).unwrap();
             let mut mux_router = ShardRouter::mux(&pool);
             mux_router.set_speculation(speculate);
             let mut mux_client = ClientFilter::new(mux_router, map.clone(), seed.clone()).unwrap();
@@ -193,9 +185,9 @@ fn waves_and_speculation_counters_invariant_across_transports() {
             .unwrap();
 
             let label = format!("S={shards} speculate={speculate}");
-            assert_eq!(want.pres(), threaded.pres(), "{label}: threaded results");
+            assert_eq!(want.pres(), legacy.pres(), "{label}: legacy results");
             assert_eq!(want.pres(), muxed.pres(), "{label}: mux results");
-            for (name, got) in [("threaded", &threaded), ("mux", &muxed)] {
+            for (name, got) in [("legacy", &legacy), ("mux", &muxed)] {
                 assert_eq!(
                     got.stats.round_trips, want.stats.round_trips,
                     "{label}: {name} must not add or remove waves"
@@ -215,15 +207,9 @@ fn waves_and_speculation_counters_invariant_across_transports() {
                 );
             }
             assert_eq!(pool.stray_responses(), 0, "{label}");
-            // Release the threaded connections so the host scope can drain.
-            drop(tcp_client);
         }
-        let mut closer = TcpTransport::connect(tcp_addr).unwrap();
-        closer.call(&Request::Shutdown).unwrap();
-        drop(closer);
-        tcp_handle.join().unwrap();
-        shutdown_mux(mux_addr);
-        mux_handle.join().unwrap();
+        shutdown_mux(addr);
+        handle.join().unwrap();
     }
 }
 
@@ -303,8 +289,8 @@ fn mux_pool_heals_a_same_count_reshard_transparently() {
 /// Online reshards racing a shared mux pool: a query that completes is
 /// exactly correct; a query interrupted by the fence errors explicitly
 /// ("reconnect"), never answers wrong, and a fresh pool under the new
-/// count always works. Mirrors the PR-4 threaded-host race, now with the
-/// fence observed through multiplexed connections.
+/// count always works. Mirrors the legacy-client race in `resharding.rs`,
+/// with the fence observed through multiplexed connections.
 #[test]
 fn reshard_races_the_mux_pool_safely() {
     let xml = generate(&XmarkConfig {

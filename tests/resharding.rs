@@ -6,8 +6,8 @@
 use ssxdb::core::protocol::{Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, serve_tcp_sharded_auto, ClientFilter, EncryptedDb, Engine,
-    EngineKind, MapFile, MatchRule, ShardRouter, ShardedServer, TcpTransport,
+    encode_document, serve_tcp_mux, serve_tcp_mux_opts, ClientFilter, EncryptedDb, Engine,
+    EngineKind, MapFile, MatchRule, MuxHostOptions, ShardRouter, ShardedServer, TcpTransport,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -167,7 +167,7 @@ fn tcp_host_reshards_online() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
@@ -192,10 +192,6 @@ fn tcp_host_reshards_online() {
         admin.call(&Request::ShardCount).unwrap(),
         Response::Count(3)
     );
-
-    // The host's scope drains every connection on shutdown; release the
-    // admin connection so join() below can finish.
-    drop(admin);
 
     // A stale client (old shard count) is refused at connect.
     assert!(ShardRouter::connect(addr, 2).is_err());
@@ -229,7 +225,7 @@ fn tcp_reshard_races_with_live_queries_safely() {
     let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
@@ -319,8 +315,17 @@ fn auto_reshard_converges_and_never_changes_results() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle =
-        std::thread::spawn(move || serve_tcp_sharded_auto(listener, server, Some(target)).unwrap());
+    let handle = std::thread::spawn(move || {
+        serve_tcp_mux_opts(
+            listener,
+            server,
+            MuxHostOptions {
+                auto_target: Some(target),
+                ..MuxHostOptions::default()
+            },
+        )
+        .unwrap()
+    });
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {
@@ -368,30 +373,4 @@ fn auto_reshard_converges_and_never_changes_results() {
     c.transport_mut().call(&Request::Shutdown).unwrap();
     let server = handle.join().unwrap();
     assert_eq!(server.spec().shards(), expected_shards);
-}
-
-/// A legacy unsharded `serve_tcp` endpoint refuses the new frame cleanly.
-#[test]
-fn legacy_server_refuses_reshard() {
-    let (map, seed) = secrets();
-    let out = encode_document(
-        &generate(&XmarkConfig {
-            seed: 15,
-            target_bytes: 2 * 1024,
-        }),
-        &map,
-        &seed,
-    )
-    .unwrap();
-    let server = ssxdb::core::ServerFilter::new(out.table, out.ring);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || ssxdb::core::serve_tcp(listener, server).unwrap());
-    let mut t = TcpTransport::connect(addr).unwrap();
-    assert!(matches!(
-        t.call(&Request::Reshard { shards: 2 }).unwrap(),
-        Response::Err(_)
-    ));
-    t.call(&Request::Shutdown).unwrap();
-    handle.join().unwrap();
 }

@@ -5,7 +5,7 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
     MapFile, MatchRule, ShardRouter, ShardedServer, SimpleEngine,
 };
 use ssxdb::prg::{Prg, Seed};
@@ -74,7 +74,7 @@ fn sharded_tcp_serving_matches_local() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, tcp_server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, tcp_server, 0).unwrap());
 
     let mut local_client =
         ClientFilter::new(ShardRouter::local(local_server), map.clone(), seed.clone()).unwrap();
@@ -125,7 +125,7 @@ fn concurrent_clients_share_the_sharded_host() {
     let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("//bidder/date").unwrap();
     let expected = {

@@ -6,7 +6,7 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp_sharded, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
+    encode_document, serve_tcp_mux, ClientFilter, EncryptedDb, Engine, EngineKind, FetchMode,
     MapFile, MatchRule, ShardRouter, ShardedServer, SimpleEngine,
 };
 use ssxdb::prg::{Prg, Seed};
@@ -204,7 +204,7 @@ fn speculation_over_tcp_matches_and_saves_waves() {
     let server = ShardedServer::from_table(out.table, out.ring, shards).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let query = parse_query("/site/regions/europe/item").unwrap();
     let mut plain = ClientFilter::new(
@@ -240,8 +240,6 @@ fn speculation_over_tcp_matches_and_saves_waves() {
     );
     assert!(b.stats.speculative_hits > 0);
 
-    // Release the idle router so the host's connection scope can drain.
-    drop(plain);
     spec.transport_mut().call(&Request::Shutdown).unwrap();
     let server = handle.join().unwrap();
     for f in server.filters() {

@@ -7,10 +7,10 @@
 use ssxdb::core::protocol::{encode_request, encode_response, Request, Response};
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, encode_document_fleet, party_server, serve_tcp, serve_tcp_mux,
-    serve_tcp_mux_opts, serve_tcp_sharded, CoreError, EncryptedDb, EngineKind, FleetSpec, MapFile,
-    MatchRule, MuxHostOptions, MuxPool, PartyHealth, PartyStore, RemoteFleetDb, RemoteMuxFleetDb,
-    ResilienceConfig, ServerFilter, ShardRouter, ShardedServer, TcpTransport,
+    encode_document, encode_document_fleet, party_server, serve_tcp_mux, serve_tcp_mux_opts,
+    CoreError, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxHostOptions, MuxPool,
+    PartyHealth, PartyStore, RemoteFleetDb, RemoteMuxFleetDb, ResilienceConfig, ShardRouter,
+    ShardedServer, TcpTransport,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -21,11 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn demo_server() -> ServerFilter {
+fn demo_server() -> ShardedServer {
     let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
     let seed = Seed::from_test_key(9);
     let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-    ServerFilter::new(out.table, out.ring)
+    ShardedServer::from_table(out.table, out.ring, 1).unwrap()
 }
 
 /// A fake server that accepts one connection, runs `script` on it, and
@@ -88,10 +88,10 @@ fn server_disconnect_mid_query_errors() {
 }
 
 #[test]
-fn malformed_client_frames_do_not_kill_serve_tcp() {
+fn malformed_client_frames_do_not_kill_a_single_shard_host() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp(listener, demo_server()).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, demo_server(), 0).unwrap());
 
     // A client that promises 50 bytes and delivers 5, then vanishes.
     {
@@ -167,9 +167,9 @@ fn short_batch_response_is_an_error_not_a_truncation() {
 
 /// A client vanishing halfway through a *batch* frame (length prefix says
 /// the whole batch, half the bytes arrive, the connection drops) must only
-/// end that connection — on the thread-per-connection host AND on the mux
-/// host, where the partial frame sits in the reader's reassembly buffer
-/// when the socket dies.
+/// end that connection — in the legacy framing AND on an upgraded mux
+/// connection. Either way the partial frame sits in the host reader's
+/// reassembly buffer when the socket dies.
 #[test]
 fn client_vanishing_mid_batch_leaves_both_hosts_serving() {
     let batch = encode_request(&Request::Batch(vec![
@@ -180,63 +180,49 @@ fn client_vanishing_mid_batch_leaves_both_hosts_serving() {
             point: 17,
         },
     ]));
-    for mux_host in [false, true] {
-        let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
-        let seed = Seed::from_test_key(9);
-        let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
-        let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            if mux_host {
-                serve_tcp_mux(listener, server, 0).unwrap()
-            } else {
-                serve_tcp_sharded(listener, server).unwrap()
-            }
-        });
+    let map = MapFile::sequential(29, 1, &["site", "a", "b"]).unwrap();
+    let seed = Seed::from_test_key(9);
+    let out = encode_document("<site><a><b/></a></site>", &map, &seed).unwrap();
+    let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
-        // Legacy connection: full length prefix, half the batch, gone.
-        {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            bad.write_all(&(batch.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&batch[..batch.len() / 2]).unwrap();
-        }
-        // On the mux host, also vanish mid-batch on an *upgraded*
-        // connection: handshake, then a corr-framed batch cut in half.
-        if mux_host {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            let hello = encode_request(&Request::Hello { version: 1 });
-            bad.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&hello).unwrap();
-            let mut ack = [0u8; 64];
-            use std::io::Read;
-            let _ = bad.read(&mut ack);
-            let mut framed = 42u64.to_le_bytes().to_vec();
-            framed.extend_from_slice(&batch);
-            bad.write_all(&(framed.len() as u32).to_le_bytes()).unwrap();
-            bad.write_all(&framed[..framed.len() / 2]).unwrap();
-        }
-
-        // A well-behaved batched client is unaffected.
-        let mut router = ShardRouter::connect(addr, 2).unwrap();
-        let resps = router
-            .call_batch(&[Request::Count, Request::Children { pre: 1 }])
-            .unwrap();
-        assert!(
-            matches!(resps[0], Response::Count(3)),
-            "mux_host={mux_host}: {resps:?}"
-        );
-        if mux_host {
-            let pool = MuxPool::connect(addr, 2).unwrap();
-            let mut t = pool.transport(0);
-            assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(2));
-        }
-        drop(router);
-        let mut closer = TcpTransport::connect(addr).unwrap();
-        closer.call(&Request::Shutdown).unwrap();
-        drop(closer);
-        handle.join().unwrap();
+    // Legacy connection: full length prefix, half the batch, gone.
+    {
+        let mut bad = TcpStream::connect(addr).unwrap();
+        bad.write_all(&(batch.len() as u32).to_le_bytes()).unwrap();
+        bad.write_all(&batch[..batch.len() / 2]).unwrap();
     }
+    // Upgraded connection: handshake, then a corr-framed batch cut in half.
+    {
+        let mut bad = TcpStream::connect(addr).unwrap();
+        let hello = encode_request(&Request::Hello { version: 1 });
+        bad.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
+        bad.write_all(&hello).unwrap();
+        let mut ack = [0u8; 64];
+        use std::io::Read;
+        let _ = bad.read(&mut ack);
+        let mut framed = 42u64.to_le_bytes().to_vec();
+        framed.extend_from_slice(&batch);
+        bad.write_all(&(framed.len() as u32).to_le_bytes()).unwrap();
+        bad.write_all(&framed[..framed.len() / 2]).unwrap();
+    }
+
+    // A well-behaved batched client is unaffected, in either framing.
+    let mut router = ShardRouter::connect(addr, 2).unwrap();
+    let resps = router
+        .call_batch(&[Request::Count, Request::Children { pre: 1 }])
+        .unwrap();
+    assert!(matches!(resps[0], Response::Count(3)), "{resps:?}");
+    let pool = MuxPool::connect(addr, 2).unwrap();
+    let mut t = pool.transport(0);
+    assert_eq!(t.call(&Request::Count).unwrap(), Response::Count(2));
+    drop(router);
+    let mut closer = TcpTransport::connect(addr).unwrap();
+    closer.call(&Request::Shutdown).unwrap();
+    drop(closer);
+    handle.join().unwrap();
 }
 
 #[test]
@@ -247,7 +233,7 @@ fn shard_count_mismatch_is_refused_at_connect() {
     let server = ShardedServer::from_table(out.table, out.ring, 4).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     // Too few shards would silently skip partitions; too many would route
     // to nonexistent ones. Both must be refused by the handshake.
@@ -278,7 +264,7 @@ fn shutdown_to_a_nonexistent_shard_does_not_stop_the_host() {
     let server = ShardedServer::from_table(out.table, out.ring, 2).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     // A raw mis-addressed Shutdown gets an error and must NOT stop the host.
     let mut raw = TcpTransport::connect(addr).unwrap();
@@ -298,8 +284,6 @@ fn shutdown_to_a_nonexistent_shard_does_not_stop_the_host() {
         ssxdb::core::protocol::Response::Count(3) => {}
         other => panic!("{other:?}"),
     }
-    // Close every connection (the host joins its connection threads before
-    // returning, so the raw socket must go first), then stop.
     drop(raw);
     router.call(&Request::Shutdown).unwrap();
     handle.join().unwrap();
@@ -314,23 +298,15 @@ fn fleet_secrets() -> (MapFile, Seed) {
     (map, Seed::from_test_key(21))
 }
 
-/// Hosts one party's 2·S-filter server on an ephemeral port; threaded or
-/// multiplexed.
+/// Hosts one party's 2·S-filter server on an ephemeral port.
 fn spawn_party(
     party: PartyStore,
     ring: &RingCtx,
-    mux: bool,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<ShardedServer>) {
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        if mux {
-            serve_tcp_mux(listener, server, 0).unwrap()
-        } else {
-            serve_tcp_sharded(listener, server).unwrap()
-        }
-    });
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
@@ -357,9 +333,9 @@ fn fleet_tolerates_a_party_dead_at_connect() {
     let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
     let ring = fleet.ring.clone();
     let mut parties = fleet.parties.into_iter();
-    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring, false);
+    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring);
     let _party2_never_started = parties.next().unwrap();
-    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring, false);
+    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring);
     let addrs = vec![a1.to_string(), dead_addr().to_string(), a3.to_string()];
 
     let expected = EncryptedDb::encode(FLEET_XML, map.clone(), seed.clone())
@@ -395,7 +371,7 @@ fn fleet_party_dying_mid_stream_degrades_without_corruption() {
     let hosts: Vec<_> = fleet
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, true))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -462,7 +438,7 @@ fn fleet_byzantine_shares_over_tcp_are_detected_and_named() {
     let hosts: Vec<_> = fleet
         .parties
         .into_iter()
-        .map(|p| spawn_party(p, &ring, false))
+        .map(|p| spawn_party(p, &ring))
         .collect();
     let addrs: Vec<String> = hosts.iter().map(|(a, _)| a.to_string()).collect();
 
@@ -510,7 +486,7 @@ fn malformed_frames_only_drop_their_connection_on_sharded_host() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let mut router = ShardRouter::connect(addr, 2).unwrap();
     // Poison a separate connection mid-stream.
@@ -591,9 +567,9 @@ fn fleet_slow_loris_party_is_timed_out_not_waited_for() {
     let fleet = encode_document_fleet(FLEET_XML, &map, &seed, spec).unwrap();
     let ring = fleet.ring.clone();
     let mut parties = fleet.parties.into_iter();
-    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring, false);
+    let (a1, h1) = spawn_party(parties.next().unwrap(), &ring);
     let _party2_shares_stay_offline = parties.next().unwrap();
-    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring, false);
+    let (a3, h3) = spawn_party(parties.next().unwrap(), &ring);
     let (loris, stop) = slow_loris_party();
     let addrs = vec![a1.to_string(), loris.to_string(), a3.to_string()];
 

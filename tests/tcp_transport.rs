@@ -4,8 +4,8 @@
 use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
-    encode_document, serve_tcp, ClientFilter, Engine, EngineKind, LocalTransport, MapFile,
-    MatchRule, ServerFilter, TcpTransport,
+    encode_document, serve_tcp_mux, ClientFilter, Engine, EngineKind, LocalTransport, MapFile,
+    MatchRule, ServerFilter, ShardedServer, TcpTransport,
 };
 use ssxdb::prg::{Prg, Seed};
 use ssxdb::xmark::{generate, XmarkConfig, DTD_ELEMENTS};
@@ -26,13 +26,14 @@ fn local_and_tcp_agree() {
     let (map, seed) = secrets();
     let out = encode_document(&xml, &map, &seed).unwrap();
 
-    // Two identical servers: one local, one behind TCP.
+    // Two identical servers: one local, one behind TCP (a 1-shard host:
+    // bare frames reach its only filter).
     let local_server = ServerFilter::new(out.table.clone(), out.ring.clone());
-    let tcp_server = ServerFilter::new(out.table, out.ring);
+    let tcp_server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp(listener, tcp_server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, tcp_server, 0).unwrap());
 
     let mut local_client =
         ClientFilter::new(LocalTransport::new(local_server), map.clone(), seed.clone()).unwrap();
@@ -72,8 +73,8 @@ fn pipelined_cursor_over_tcp() {
     let out = encode_document(xml, &map, &seed).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = ServerFilter::new(out.table, out.ring);
-    let handle = std::thread::spawn(move || serve_tcp(listener, server).unwrap());
+    let server = ShardedServer::from_table(out.table, out.ring, 1).unwrap();
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
 
     let mut client = ClientFilter::new(TcpTransport::connect(addr).unwrap(), map, seed).unwrap();
     let root = client.root().unwrap().unwrap();

@@ -9,8 +9,8 @@ use ssxdb::core::protocol::Request;
 use ssxdb::core::transport::Transport;
 use ssxdb::core::{
     encode_document, encode_document_at, encode_document_fleet, party_server, serve_tcp_mux,
-    serve_tcp_sharded, ClientFilter, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule,
-    MuxPool, PartyStore, RemoteFleetDb, RemoteMuxDb, ShardRouter, ShardedServer, TcpTransport,
+    ClientFilter, EncryptedDb, EngineKind, FleetSpec, MapFile, MatchRule, MuxPool, PartyStore,
+    RemoteFleetDb, RemoteMuxDb, ShardRouter, ShardedServer, TcpTransport,
 };
 use ssxdb::poly::RingCtx;
 use ssxdb::prg::Seed;
@@ -88,7 +88,7 @@ fn spawn_party(
     let server = party_server(party.data, party.mac, ring, 1).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || serve_tcp_sharded(listener, server).unwrap());
+    let handle = std::thread::spawn(move || serve_tcp_mux(listener, server, 0).unwrap());
     (addr, handle)
 }
 
@@ -150,8 +150,6 @@ fn tcp_fleet_ingests_interleaved_writes_while_queries_run() {
         }
     }
 
-    // The hosts join per-connection threads on shutdown: close the fleet's
-    // leg sockets first.
     drop(fleet);
     for (a, _) in &hosts {
         stop_host(*a);
